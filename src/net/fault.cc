@@ -16,6 +16,11 @@ namespace {
 // handle resets).
 constexpr int kForwardDeadlineMs = 10000;
 
+// Upstream dial budget: ConnectWithRetry's default pacing (delays capped
+// at 50ms) over this many attempts gives an upstream a few seconds to bind
+// its listener -- the same budget the front end grants its workers.
+constexpr int kUpstreamDialAttempts = 100;
+
 constexpr uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -99,8 +104,14 @@ bool FaultProxy::ProbabilisticDelay() {
 }
 
 void FaultProxy::RelayLoop(Socket client) {
+  // The upstream may still be binding (a freshly forked worker): retry
+  // the dial rather than reset a client no schedule asked to hurt. The
+  // retry gives up as soon as Stop() is requested, so Stop() stays bounded
+  // even when the upstream never comes up.
   std::string error;
-  Socket upstream = ConnectAddress(upstream_, &error, kForwardDeadlineMs);
+  Socket upstream =
+      ConnectWithRetry(upstream_, kUpstreamDialAttempts, &error,
+                       kForwardDeadlineMs, BackoffPolicy(), nullptr, &stop_);
   if (!upstream.valid()) return;
 
   FrameParser parsers[2];

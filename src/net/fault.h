@@ -25,6 +25,15 @@
 // serves the bench harness's flaky-link percentile runs; it is seeded
 // splitmix64, so it is also reproducible.
 //
+// The proxy is transparent until a scheduled fault fires: it never hurts a
+// connection the schedule did not name. Each accepted connection dials the
+// upstream with ConnectWithRetry pacing, so an upstream still binding its
+// listener (a worker forked a moment ago) is waited for, not answered with
+// an unscheduled reset; the retry stops once Stop() is requested. Two
+// cases close a client unasked, both bounded: an upstream that never comes
+// up within the dial budget (a direct dial would fail too), and a receiver
+// that stops draining for the forward deadline (see fault.cc).
+//
 // The proxy never interprets payloads and keeps no protocol state beyond
 // frame reassembly: it can sit on any pvcdb connection (coordinator ->
 // worker RPCs, client -> front-end commands) without knowing which.
@@ -86,13 +95,14 @@ class FaultProxy {
   FaultProxy& operator=(const FaultProxy&) = delete;
 
   /// Listens on `listen_address`; every accepted connection dials
-  /// `upstream_address` and relays frames under `schedule`. False +
-  /// `*error` when the listener cannot bind.
+  /// `upstream_address` (retrying while it binds) and relays frames under
+  /// `schedule`. False + `*error` when the listener cannot bind.
   bool Start(const std::string& listen_address,
              const std::string& upstream_address, FaultSchedule schedule,
              std::string* error);
 
-  /// Stops accepting, closes every relay, joins all threads. Idempotent.
+  /// Stops accepting, closes every relay (abandoning any upstream dial
+  /// still retrying), joins all threads. Idempotent.
   void Stop();
 
   const std::string& address() const { return listen_address_; }

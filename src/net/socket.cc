@@ -398,13 +398,18 @@ Socket ConnectAddress(const std::string& address, std::string* error,
 
 Socket ConnectWithRetry(const std::string& address, int attempts,
                         std::string* error, int deadline_ms,
-                        const BackoffPolicy& policy, Clock* clock) {
+                        const BackoffPolicy& policy, Clock* clock,
+                        const std::atomic<bool>* cancel) {
   if (clock == nullptr) clock = Clock::Real();
   ExponentialBackoff backoff(policy);
   for (int i = 0; i < attempts; ++i) {
     if (i > 0) {
       PVCDB_COUNTER_ADD("net.retries", 1);
       clock->SleepMillis(backoff.NextDelayMs());
+    }
+    if (cancel != nullptr && cancel->load()) {
+      *error = "connect " + address + ": cancelled";
+      break;
     }
     Socket sock = ConnectAddress(address, error, deadline_ms);
     if (sock.valid()) return sock;

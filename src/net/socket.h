@@ -29,6 +29,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -148,13 +149,16 @@ Socket ConnectAddress(const std::string& address, std::string* error,
 /// binding its listener, capped delays so long attempt counts stay
 /// bounded). Each retry counts `net.retries`. `deadline_ms` bounds each
 /// individual connect attempt. Tests pass a mock `clock` to assert the
-/// schedule without sleeping. Invalid socket + the last error on
-/// exhaustion.
+/// schedule without sleeping. A non-null `cancel` is checked before every
+/// attempt: once it reads true the dial gives up (a relay being stopped
+/// must not sit out the whole schedule). Invalid socket + the last error
+/// on exhaustion or cancellation.
 Socket ConnectWithRetry(const std::string& address, int attempts,
                         std::string* error,
                         int deadline_ms = kNoDeadline,
                         const BackoffPolicy& policy = BackoffPolicy(),
-                        Clock* clock = nullptr);
+                        Clock* clock = nullptr,
+                        const std::atomic<bool>* cancel = nullptr);
 
 /// A connected AF_UNIX stream pair (fork hand-off for in-process-spawned
 /// shard workers). False on failure.

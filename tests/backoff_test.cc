@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -197,6 +198,32 @@ TEST(ConnectWithRetryTest, SingleAttemptNeverSleeps) {
                                  &clock);
   EXPECT_FALSE(sock.valid());
   EXPECT_TRUE(clock.sleeps.empty());
+}
+
+TEST(ConnectWithRetryTest, CancelStopsRetryingBeforeTheNextAttempt) {
+  // Raise the cancel flag during the second backoff sleep: the attempt
+  // after it must not run, so exactly two sleeps are recorded out of a
+  // long schedule and the error names the cancellation.
+  class CancellingClock : public MockClock {
+   public:
+    explicit CancellingClock(std::atomic<bool>* cancel) : cancel_(cancel) {}
+    void SleepMillis(uint64_t ms) override {
+      MockClock::SleepMillis(ms);
+      if (sleeps.size() == 2) cancel_->store(true);
+    }
+
+   private:
+    std::atomic<bool>* cancel_;
+  };
+  std::atomic<bool> cancel{false};
+  CancellingClock clock(&cancel);
+  std::string error;
+  Socket sock = ConnectWithRetry("/nonexistent/pvcdb-backoff-test.sock", 100,
+                                 &error, kNoDeadline, BackoffPolicy(), &clock,
+                                 &cancel);
+  EXPECT_FALSE(sock.valid());
+  EXPECT_EQ(clock.sleeps.size(), 2u);
+  EXPECT_NE(error.find("cancelled"), std::string::npos);
 }
 
 }  // namespace

@@ -18,12 +18,19 @@
 // Plus the heartbeat walk (healthy -> suspect -> down) and the
 // auto-respawn circuit breaker, driven through a mock clock and a
 // counting spawner so no test here sleeps for real.
+//
+// The gauntlet's determinism rests on the proxy itself being transparent
+// until a scheduled fault fires; the FaultProxyTest cases pin that down
+// (an upstream that binds late is waited for, not reset) and keep Stop()
+// bounded when the upstream never binds at all.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -35,6 +42,7 @@
 #include "src/engine/shard_worker.h"
 #include "src/net/backoff.h"
 #include "src/net/fault.h"
+#include "src/net/frame.h"
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
 #include "src/query/parser.h"
@@ -84,6 +92,39 @@ void ReapWorker(pid_t pid) {
   kill(pid, SIGKILL);
   waitpid(pid, nullptr, 0);
 }
+
+/// Starts standalone workers and kills + reaps every one still running
+/// when it goes out of scope -- on every exit path, including a failed
+/// ASSERT_* returning early. A standalone worker accepts forever and holds
+/// the test runner's output pipe, so one left behind turns a quick failure
+/// into a runner timeout plus a stray process.
+class WorkerReaper {
+ public:
+  WorkerReaper() = default;
+  WorkerReaper(const WorkerReaper&) = delete;
+  WorkerReaper& operator=(const WorkerReaper&) = delete;
+  ~WorkerReaper() {
+    for (pid_t pid : pids_) ReapWorker(pid);
+  }
+
+  /// StartStandaloneWorker, remembered for reaping (a failed fork, pid <=
+  /// 0, is returned but never reaped).
+  pid_t Spawn(const std::string& address) {
+    pid_t pid = StartStandaloneWorker(address);
+    if (pid > 0) pids_.push_back(pid);
+    return pid;
+  }
+
+  /// Kills + reaps `pid` now (a scenario that kills its worker mid-test);
+  /// the destructor then leaves it alone, so a recycled pid is never hit.
+  void Reap(pid_t pid) {
+    ReapWorker(pid);
+    pids_.erase(std::remove(pids_.begin(), pids_.end(), pid), pids_.end());
+  }
+
+ private:
+  std::vector<pid_t> pids_;
+};
 
 std::vector<RemoteShard> DialWorkers(const std::vector<std::string>& addrs) {
   std::vector<RemoteShard> workers;
@@ -149,7 +190,7 @@ QueryRun RunChain(Coordinator* coordinator) {
 struct Twin {
   explicit Twin(const std::string& dir) {
     address = dir + "/twin.sock";
-    pid = StartStandaloneWorker(address);
+    pid = workers.Spawn(address);
     EXPECT_GT(pid, 0);
     coordinator = MakeCoordinator({address}, {address}, kRpcDeadlineMs);
     LoadItems(coordinator.get());
@@ -158,13 +199,14 @@ struct Twin {
     EXPECT_TRUE(run.distributed);
     EXPECT_TRUE(coordinator->WorkerTail(0, &lsn, &chain));
   }
+  // The reaper kills + reaps the worker after this body, so a Shutdown
+  // that never reached it (its link already down) cannot block here.
   ~Twin() {
     coordinator->Shutdown();
     coordinator.reset();
-    int status = 0;
-    waitpid(pid, &status, 0);
   }
 
+  WorkerReaper workers;
   std::string address;
   pid_t pid = -1;
   std::unique_ptr<Coordinator> coordinator;
@@ -183,8 +225,9 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
   TempDir dir;
   const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
                                           dir.path() + "/w1.sock"};
+  WorkerReaper workers;
   std::vector<pid_t> pids;
-  for (const std::string& a : addrs) pids.push_back(StartStandaloneWorker(a));
+  for (const std::string& a : addrs) pids.push_back(workers.Spawn(a));
   for (pid_t pid : pids) ASSERT_GT(pid, 0);
 
   auto coordinator = MakeCoordinator(addrs, addrs, kRpcDeadlineMs);
@@ -252,7 +295,6 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  for (pid_t pid : pids) ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +307,8 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper workers;
+  pid_t pid = workers.Spawn(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -316,7 +359,6 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
@@ -325,7 +367,8 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper workers;
+  pid_t pid = workers.Spawn(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -370,7 +413,6 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +432,8 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     SCOPED_TRACE("fault kind " + std::to_string(i));
     const std::string worker_addr =
         dir.path() + "/w" + std::to_string(i) + ".sock";
-    pid_t pid = StartStandaloneWorker(worker_addr);
+    WorkerReaper workers;
+    pid_t pid = workers.Spawn(worker_addr);
     ASSERT_GT(pid, 0);
 
     FaultProxy proxy;
@@ -438,7 +481,6 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     coordinator->Shutdown();
     coordinator.reset();
     proxy.Stop();
-    ReapWorker(pid);
   }
 }
 
@@ -451,7 +493,8 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
   SetMetricsEnabled(true);
   TempDir dir;
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper workers;
+  pid_t pid = workers.Spawn(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -503,7 +546,6 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -525,7 +567,8 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   TempDir dir;
   const std::string addr_a = dir.path() + "/a.sock";
   const std::string addr_b = dir.path() + "/b.sock";
-  pid_t pid_a = StartStandaloneWorker(addr_a);
+  WorkerReaper workers;
+  pid_t pid_a = workers.Spawn(addr_a);
   ASSERT_GT(pid_a, 0);
 
   // A spawner the test steers: count calls, fail on demand, and dial
@@ -583,7 +626,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   EXPECT_EQ(sent->Value(), sent0 + 1);
 
   // Kill the worker. Tick 1: the ping fails -> suspect.
-  ReapWorker(pid_a);
+  workers.Reap(pid_a);
   coordinator->HeartbeatTick(&lines);
   ASSERT_FALSE(lines.empty());
   EXPECT_NE(lines.back().find("suspect"), std::string::npos);
@@ -639,7 +682,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   // The failures age out of the window; a replacement worker comes up at
   // the standby address and the next tick heals the shard end to end.
   clock.Advance(11000);
-  pid_t pid_b = StartStandaloneWorker(addr_b);
+  pid_t pid_b = workers.Spawn(addr_b);
   ASSERT_GT(pid_b, 0);
   *spawn_fails = false;
   lines.clear();
@@ -665,7 +708,84 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid_b);
+}
+
+// ---------------------------------------------------------------------------
+// 6. The proxy itself: no fault unless the schedule names one.
+// ---------------------------------------------------------------------------
+
+TEST(FaultProxyTest, EmptyScheduleRelaysToAnUpstreamThatBindsLate) {
+  TempDir dir;
+  const std::string upstream_addr = dir.path() + "/late.sock";
+  FaultProxy proxy;
+  std::string error;
+  ASSERT_TRUE(proxy.Start(dir.path() + "/p.sock", upstream_addr,
+                          FaultSchedule(), &error))
+      << error;
+
+  // The client connects and sends before anything listens upstream -- the
+  // start-up race of a proxy in front of a worker forked a moment ago.
+  Socket client = ConnectAddress(proxy.address(), &error);
+  ASSERT_TRUE(client.valid()) << error;
+  const uint8_t kRequestKind = 7;
+  const std::string request = "sent before the upstream bound";
+  ASSERT_TRUE(SendFrame(&client, kRequestKind, request));
+
+  Clock::Real()->SleepMillis(200);
+  Listener listener = Listener::Listen(upstream_addr, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  struct pollfd pfd;
+  pfd.fd = listener.fd();
+  pfd.events = POLLIN;
+  pfd.revents = 0;
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "the proxy never dialed upstream";
+  Socket upstream = listener.Accept();
+  ASSERT_TRUE(upstream.valid());
+
+  // The frame arrives byte-identical to what the client put on the wire.
+  std::string wire;
+  EncodeFrame(&wire, kRequestKind, request);
+  std::string received(wire.size(), '\0');
+  ASSERT_EQ(upstream.RecvAll(&received[0], received.size(), 5000),
+            IoStatus::kOk);
+  EXPECT_EQ(received, wire);
+
+  // And a reply flows back through the same relay.
+  const uint8_t kReplyKind = 65;
+  const std::string reply = "reply from the late upstream";
+  ASSERT_TRUE(SendFrame(&upstream, kReplyKind, reply));
+  uint8_t kind = 0;
+  std::string payload;
+  ASSERT_EQ(RecvFrame(&client, &kind, &payload, 5000), FrameResult::kOk);
+  EXPECT_EQ(kind, kReplyKind);
+  EXPECT_EQ(payload, reply);
+
+  EXPECT_EQ(proxy.faults_injected(), 0u);
+  EXPECT_EQ(proxy.frames_forwarded(FaultDirection::kRequests), 1u);
+  EXPECT_EQ(proxy.frames_forwarded(FaultDirection::kReplies), 1u);
+  proxy.Stop();
+}
+
+TEST(FaultProxyTest, StopReturnsPromptlyWhileTheUpstreamNeverBinds) {
+  TempDir dir;
+  FaultProxy proxy;
+  std::string error;
+  ASSERT_TRUE(proxy.Start(dir.path() + "/p.sock", dir.path() + "/never.sock",
+                          FaultSchedule(), &error))
+      << error;
+  Socket client = ConnectAddress(proxy.address(), &error);
+  ASSERT_TRUE(client.valid()) << error;
+  // Let the relay get into its dial retries, whose full schedule takes
+  // seconds; Stop() must cut them short, not sit them out.
+  Clock::Real()->SleepMillis(100);
+  WallTimer timer;
+  proxy.Stop();
+  EXPECT_LT(timer.ElapsedMillis(), 1000.0);
+
+  // The abandoned client sees its connection closed.
+  uint8_t kind = 0;
+  std::string payload;
+  EXPECT_EQ(RecvFrame(&client, &kind, &payload, 5000), FrameResult::kClosed);
 }
 
 }  // namespace
